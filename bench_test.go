@@ -359,7 +359,7 @@ func BenchmarkFig3LoadBalance(b *testing.B) {
 
 // --- Fig. 5 / §II-B relay mesh ---
 
-func benchPMCycle(b *testing.B, relay bool, groups int, complexFFT bool) {
+func benchPMCycle(b *testing.B, relay bool, groups int) {
 	x, y, z, m := uniformSet(5, 4096)
 	geo := domain.Uniform(4, 2, 2, 1)
 	owner := make([][]int, 16)
@@ -367,7 +367,7 @@ func benchPMCycle(b *testing.B, relay bool, groups int, complexFFT bool) {
 		r := geo.Find(vec.V3{X: x[i], Y: y[i], Z: z[i]})
 		owner[r] = append(owner[r], i)
 	}
-	cfg := pmpar.Config{N: 32, L: 1, G: 1, Rcut: 3.0 / 32, NFFT: 8, Relay: relay, Groups: groups, ComplexFFT: complexFFT}
+	cfg := pmpar.Config{N: 32, L: 1, G: 1, Rcut: 3.0 / 32, NFFT: 8, Relay: relay, Groups: groups}
 	var modeled float64
 	var a2aBytes int64
 	machine := perfmodel.KComputer()
@@ -409,12 +409,8 @@ func benchPMCycle(b *testing.B, relay bool, groups int, complexFFT bool) {
 }
 
 func BenchmarkFig5RelayVsNaive(b *testing.B) {
-	b.Run("naive", func(b *testing.B) { benchPMCycle(b, false, 1, false) })
-	b.Run("relay2", func(b *testing.B) { benchPMCycle(b, true, 2, false) })
-	// Complex-FFT reference paths: the before side of the r2c before/after
-	// (identical conversions, full-spectrum transposes).
-	b.Run("naive-complexfft", func(b *testing.B) { benchPMCycle(b, false, 1, true) })
-	b.Run("relay2-complexfft", func(b *testing.B) { benchPMCycle(b, true, 2, true) })
+	b.Run("naive", func(b *testing.B) { benchPMCycle(b, false, 1) })
+	b.Run("relay2", func(b *testing.B) { benchPMCycle(b, true, 2) })
 }
 
 // BenchmarkRelayPaperScaleModel evaluates the analytic §II-B model at the

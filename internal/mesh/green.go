@@ -15,8 +15,8 @@ type GreenTab struct {
 }
 
 // NewGreenTab builds the table. Odd or degenerate sizes (n < 2) return nil:
-// the folding identity jz ↦ n−jz needs an even n, so such meshes fall back
-// to direct KGreenW evaluation.
+// the folding identity jz ↦ n−jz needs an even n. The solvers accept only
+// powers of two ≥ 2, so they always get a table.
 func NewGreenTab(n int, l, g, rcut float64, deconvolve bool, order int) *GreenTab {
 	if n < 2 || n%2 != 0 {
 		return nil
@@ -76,7 +76,7 @@ var (
 // on first use. Tables persist for the process lifetime, so repeated solver
 // construction (every relay step rebuild, every test) pays the O(n³)
 // evaluation once per parameter set. Returns nil when the size has no table
-// (see NewGreenTab); callers then evaluate KGreenW directly.
+// (see NewGreenTab).
 func GreenTable(n int, l, g, rcut float64, deconvolve bool, order int) *GreenTab {
 	k := greenKey{n: n, l: l, g: g, rcut: rcut, deconvolve: deconvolve, order: order}
 	greenMu.Lock()

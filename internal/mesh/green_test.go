@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"greem/internal/fft"
 )
 
 func TestGreenTabMatchesKGreenW(t *testing.T) {
@@ -80,19 +82,23 @@ func TestSolveRealMatchesComplex(t *testing.T) {
 		x[i], y[i], z[i] = rng.Float64(), rng.Float64(), rng.Float64()
 		m[i] = rng.Float64() + 0.5
 	}
-	run := func(opts ...Option) (ax, ay, az []float64) {
-		pm, err := New(n, 1, 1, 3.0/float64(n), opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ax = make([]float64, np)
-		ay = make([]float64, np)
-		az = make([]float64, np)
-		pm.Accel(x, y, z, m, ax, ay, az)
-		return
+	pm, err := New(n, 1, 1, 3.0/float64(n))
+	if err != nil {
+		t.Fatal(err)
 	}
-	rx, ry, rz := run()
-	cx, cy, cz := run(WithComplexFFT())
+	rx := make([]float64, np)
+	ry := make([]float64, np)
+	rz := make([]float64, np)
+	pm.Accel(x, y, z, m, rx, ry, rz)
+	// The same pipeline with the reference solve in place of Solve.
+	cx := make([]float64, np)
+	cy := make([]float64, np)
+	cz := make([]float64, np)
+	pm.Clear()
+	pm.AssignTSC(x, y, z, m)
+	newComplexSolve(t, pm).solve()
+	pm.DiffForce()
+	pm.InterpolateTSC(x, y, z, cx, cy, cz)
 	var scale float64
 	for i := range rx {
 		scale = math.Max(scale, math.Abs(cx[i])+math.Abs(cy[i])+math.Abs(cz[i]))
@@ -105,15 +111,61 @@ func TestSolveRealMatchesComplex(t *testing.T) {
 	}
 }
 
-func BenchmarkSolve128Real(b *testing.B) { benchSolve(b, 128) }
+// complexSolve is the complex-to-complex reference for PM.Solve: the full
+// spectrum through fft.Plan3, convolved with KGreenW evaluated per mode —
+// twice the transform arithmetic and spectral memory of the r2c path, and
+// none of its half-spectrum indexing. The multipliers are evaluated once, so
+// the benchmarks time the transforms and the convolution only.
+type complexSolve struct {
+	pm    *PM
+	plan  *fft.Plan3
+	work  []complex128
+	green []float64 // KGreenW for every mode of the full cube
+}
 
-func BenchmarkSolve128Complex(b *testing.B) { benchSolve(b, 128, WithComplexFFT()) }
+func newComplexSolve(tb testing.TB, pm *PM) *complexSolve {
+	n := pm.n
+	plan, err := fft.NewPlan3(n, n, n)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c := &complexSolve{pm: pm, plan: plan, work: make([]complex128, n*n*n), green: make([]float64, n*n*n)}
+	for jx := 0; jx < n; jx++ {
+		for jy := 0; jy < n; jy++ {
+			for jz := 0; jz < n; jz++ {
+				c.green[(jx*n+jy)*n+jz] = KGreenW(jx, jy, jz, n, pm.l, pm.g, pm.rcut, pm.deconvolve, pm.order)
+			}
+		}
+	}
+	return c
+}
 
-func BenchmarkSolve64Real(b *testing.B) { benchSolve(b, 64) }
+// solve turns pm.Rho into pm.Phi.
+func (c *complexSolve) solve() {
+	for i, r := range c.pm.Rho {
+		c.work[i] = complex(r, 0)
+	}
+	c.plan.Forward(c.work)
+	for i, g := range c.green {
+		c.work[i] *= complex(g, 0)
+	}
+	c.plan.Inverse(c.work)
+	for i := range c.pm.Phi {
+		c.pm.Phi[i] = real(c.work[i])
+	}
+}
 
-func BenchmarkSolve64Complex(b *testing.B) { benchSolve(b, 64, WithComplexFFT()) }
+func BenchmarkSolve128Real(b *testing.B) { benchSolve(b, 128, false) }
 
-func benchSolve(b *testing.B, n int, opts ...Option) {
+func BenchmarkSolve128Complex(b *testing.B) { benchSolve(b, 128, true) }
+
+func BenchmarkSolve64Real(b *testing.B) { benchSolve(b, 64, false) }
+
+func BenchmarkSolve64Complex(b *testing.B) { benchSolve(b, 64, true) }
+
+// benchSolve times PM.Solve, or the complex reference solve when reference
+// is set, on a random density.
+func benchSolve(b *testing.B, n int, reference bool, opts ...Option) {
 	pm, err := New(n, 1, 1, 3.0/float64(n), opts...)
 	if err != nil {
 		b.Fatal(err)
@@ -122,9 +174,13 @@ func benchSolve(b *testing.B, n int, opts ...Option) {
 	for i := range pm.Rho {
 		pm.Rho[i] = rng.Float64()
 	}
+	solve := pm.Solve
+	if reference {
+		solve = newComplexSolve(b, pm).solve
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pm.Solve()
+		solve()
 	}
 	// ~2.5 n³ log2(n³) real flops for the r2c transform pair plus the
 	// convolution — report rate so before/after Gflops lands in EXPERIMENTS.

@@ -106,14 +106,11 @@ type PM struct {
 	// order is the assignment-window order: 3 = TSC (default, the paper's
 	// scheme, 27-point), 2 = CIC (8-point, the cheaper/noisier ablation).
 	order int
-	// complexFFT forces the full complex transform path (the pre-r2c
-	// reference implementation, kept for parity tests and benchmarks).
-	complexFFT bool
 
-	h     float64 // cell size l/n
-	plan  *fft.Plan3
-	rplan *fft.RealPlan3 // r2c path; nil when n < 2
-	green *GreenTab      // cached multiplier table; nil → direct KGreenW
+	h     float64        // cell size l/n
+	plan  *fft.Plan3     // complex transform of the spectral-differentiation ablation
+	rplan *fft.RealPlan3 // the Poisson solve's r2c/c2r transform
+	green *GreenTab      // cached multiplier table
 
 	// workers is the Workers knob (see par.Resolve); the solver owns its
 	// pool and Close releases it.
@@ -124,7 +121,7 @@ type PM struct {
 	Phi        []float64    // potential mesh
 	Fx, Fy, Fz []float64    // acceleration meshes
 	spec       []complex128 // persistent half-spectrum, n·n·(n/2+1)
-	work       []complex128 // full complex mesh, lazily allocated
+	work       []complex128 // full complex mesh, lazily allocated (SolveSpectral)
 
 	// Hoisted per-call scratch for the two-pass parallel assignment: pass A
 	// precomputes wrapped per-axis stencil indices and weights per particle;
@@ -143,8 +140,8 @@ type PM struct {
 	np             int
 	tvinv          float64
 
-	taskPrep, taskDeposit, taskConv, taskConvC func(w, lo, hi int)
-	taskDiff, taskInterp, taskPot              func(w, lo, hi int)
+	taskPrep, taskDeposit, taskConv func(w, lo, hi int)
+	taskDiff, taskInterp, taskPot   func(w, lo, hi int)
 }
 
 // Option configures a PM solver.
@@ -166,12 +163,6 @@ func WithCIC() Option { return func(p *PM) { p.order = 2 } }
 // wavelengths.
 func WithSpectralDifferentiation() Option { return func(p *PM) { p.spectral = true } }
 
-// WithComplexFFT keeps the Poisson solve on the full complex-to-complex
-// transform instead of the real-to-complex half-spectrum path. This is the
-// reference/ablation configuration: twice the FFT arithmetic and spectral
-// memory for identical (to rounding) potentials.
-func WithComplexFFT() Option { return func(p *PM) { p.complexFFT = true } }
-
 // WithWorkers sets the intra-rank worker count for every PM hot loop
 // (assignment, FFT lines, convolution, differencing, interpolation); the
 // knob resolves through par.Resolve (0 ⇒ serial, par.Auto ⇒ GOMAXPROCS).
@@ -179,9 +170,13 @@ func WithComplexFFT() Option { return func(p *PM) { p.complexFFT = true } }
 // done to release the pool.
 func WithWorkers(w int) Option { return func(p *PM) { p.workers = w } }
 
-// New creates a PM solver for an n³ mesh (n a power of two) on a periodic
-// box of side l with gravitational constant g and force-split radius rcut.
+// New creates a PM solver for an n³ mesh (n a power of two ≥ 2) on a
+// periodic box of side l with gravitational constant g and force-split
+// radius rcut.
 func New(n int, l, g, rcut float64, opts ...Option) (*PM, error) {
+	if n < 2 || n&(n-1) != 0 {
+		return nil, fmt.Errorf("mesh: mesh size %d is not a power of two ≥ 2", n)
+	}
 	if l <= 0 || g <= 0 || rcut <= 0 {
 		return nil, fmt.Errorf("mesh: l, g, rcut must be positive (got %v, %v, %v)", l, g, rcut)
 	}
@@ -189,43 +184,36 @@ func New(n int, l, g, rcut float64, opts ...Option) (*PM, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mesh: %w", err)
 	}
+	rplan, err := fft.NewRealPlan3(n, n, n)
+	if err != nil {
+		return nil, fmt.Errorf("mesh: %w", err)
+	}
 	size := n * n * n
 	pm := &PM{
 		n: n, l: l, g: g, rcut: rcut, deconvolve: true, order: 3,
-		h:    l / float64(n),
-		plan: plan,
-		Rho:  make([]float64, size),
-		Phi:  make([]float64, size),
-		Fx:   make([]float64, size),
-		Fy:   make([]float64, size),
-		Fz:   make([]float64, size),
+		h:     l / float64(n),
+		plan:  plan,
+		rplan: rplan,
+		Rho:   make([]float64, size),
+		Phi:   make([]float64, size),
+		Fx:    make([]float64, size),
+		Fy:    make([]float64, size),
+		Fz:    make([]float64, size),
+		spec:  make([]complex128, rplan.SpecLen()),
 	}
 	for _, o := range opts {
 		o(pm)
 	}
-	// The multiplier table and transform plans depend on the options, so
-	// they come last. n == 1 has no real plan and falls back to the complex
-	// path; odd sizes have no table and fall back to direct evaluation.
+	// The multiplier table depends on the options, so it comes last.
 	pm.green = GreenTable(n, l, g, rcut, pm.deconvolve, pm.order)
-	if n >= 2 && !pm.complexFFT {
-		rplan, err := fft.NewRealPlan3(n, n, n)
-		if err != nil {
-			return nil, fmt.Errorf("mesh: %w", err)
-		}
-		pm.rplan = rplan
-		pm.spec = make([]complex128, rplan.SpecLen())
-	}
 	pm.pool = par.New(par.Resolve(pm.workers, 1))
 	if pm.pool != nil {
 		pm.plan.SetPool(pm.pool)
-		if pm.rplan != nil {
-			pm.rplan.SetPool(pm.pool)
-		}
+		pm.rplan.SetPool(pm.pool)
 	}
 	pm.taskPrep = pm.assignPrep
 	pm.taskDeposit = pm.assignDeposit
 	pm.taskConv = pm.convRows
-	pm.taskConvC = pm.convRowsComplex
 	pm.taskDiff = pm.diffRows
 	pm.taskInterp = pm.interpRange
 	pm.taskPot = pm.potRange
@@ -239,20 +227,11 @@ func (pm *PM) Close() {
 }
 
 // ensureWork lazily allocates the full complex mesh used only by the
-// complex-FFT and spectral-differentiation paths.
+// spectral-differentiation path.
 func (pm *PM) ensureWork() {
 	if pm.work == nil {
 		pm.work = make([]complex128, pm.n*pm.n*pm.n)
 	}
-}
-
-// greenAt returns the Green's multiplier for a full-range mode, from the
-// table when one exists and by direct evaluation otherwise.
-func (pm *PM) greenAt(jx, jy, jz int) float64 {
-	if pm.green != nil {
-		return pm.green.AtFull(jx, jy, jz)
-	}
-	return KGreenW(jx, jy, jz, pm.n, pm.l, pm.g, pm.rcut, pm.deconvolve, pm.order)
 }
 
 // N returns the mesh size per dimension.
@@ -393,17 +372,12 @@ func (pm *PM) AssignTSC(x, y, z, m []float64) {
 // Solve computes the long-range potential from the density mesh: forward
 // FFT, Green's-function convolution, inverse FFT (paper §II-B step 3).
 //
-// The density is real, so by default the solve runs r2c → half-spectrum
-// convolution → c2r on the persistent spec buffer: half the transform
-// arithmetic and spectral memory of the complex path. The multiplier is
-// real and even, so the convolution preserves Hermitian symmetry — the
-// jz = 0 and jz = n/2 planes need no special casing beyond the compressed
-// indexing.
+// The density is real, so the solve runs r2c → half-spectrum convolution →
+// c2r on the persistent spec buffer: half the transform arithmetic and
+// spectral memory of a complex transform. The multiplier is real and even,
+// so the convolution preserves Hermitian symmetry — the jz = 0 and jz = n/2
+// planes need no special casing beyond the compressed indexing.
 func (pm *PM) Solve() {
-	if pm.complexFFT || pm.rplan == nil {
-		pm.solveComplex()
-		return
-	}
 	pm.rplan.Forward(pm.Rho, pm.spec)
 	pm.pool.Run(pm.n, pm.taskConv)
 	pm.rplan.Inverse(pm.spec, pm.Phi)
@@ -421,34 +395,6 @@ func (pm *PM) convRows(w, lo, hi int) {
 				pm.spec[base+jz] *= complex(row[jz], 0)
 			}
 		}
-	}
-}
-
-// convRowsComplex is the full-spectrum counterpart for the complex path.
-func (pm *PM) convRowsComplex(w, lo, hi int) {
-	n := pm.n
-	for jx := lo; jx < hi; jx++ {
-		for jy := 0; jy < n; jy++ {
-			base := (jx*n + jy) * n
-			for jz := 0; jz < n; jz++ {
-				pm.work[base+jz] *= complex(pm.greenAt(jx, jy, jz), 0)
-			}
-		}
-	}
-}
-
-// solveComplex is the full complex-to-complex reference path (WithComplexFFT,
-// and the n == 1 degenerate mesh).
-func (pm *PM) solveComplex() {
-	pm.ensureWork()
-	for i, r := range pm.Rho {
-		pm.work[i] = complex(r, 0)
-	}
-	pm.plan.Forward(pm.work)
-	pm.pool.Run(pm.n, pm.taskConvC)
-	pm.plan.Inverse(pm.work)
-	for i := range pm.Phi {
-		pm.Phi[i] = real(pm.work[i])
 	}
 }
 
@@ -585,7 +531,7 @@ func (pm *PM) SolveSpectral() {
 			base := (jx*n + jy) * n
 			for jz := 0; jz < n; jz++ {
 				kz := twoPiL * float64(foldMode(jz, n))
-				ph := pm.work[base+jz] * complex(pm.greenAt(jx, jy, jz), 0)
+				ph := pm.work[base+jz] * complex(pm.green.AtFull(jx, jy, jz), 0)
 				phiHat[base+jz] = ph
 				// f = −∇φ ⇒ f̂ = −ik·φ̂.
 				fxHat[base+jz] = complex(0, -kx) * ph

@@ -360,6 +360,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(12, 1, 1, 0.1); err == nil {
 		t.Error("non-power-of-two mesh accepted")
 	}
+	if _, err := New(1, 1, 1, 0.1); err == nil {
+		t.Error("n = 1 mesh accepted")
+	}
 	if _, err := New(16, -1, 1, 0.1); err == nil {
 		t.Error("negative box accepted")
 	}

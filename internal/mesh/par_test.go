@@ -156,7 +156,7 @@ func TestAccelZeroAllocs(t *testing.T) {
 func BenchmarkSolve128Workers(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
-			benchSolve(b, 128, WithWorkers(w))
+			benchSolve(b, 128, false, WithWorkers(w))
 		})
 	}
 }

@@ -48,7 +48,7 @@ type PencilPlan struct {
 	nxh   int
 	layXh Layout          // compressed x over py (layouts B, C)
 	xch   int             // B and C: local compressed-x extent
-	rline []*fft.RealPlan // per-worker r2c/c2r plans; nil when n < 2
+	rline []*fft.RealPlan // per-worker r2c/c2r plans
 
 	pool  *par.Pool
 	wline [][]complex128 // per-worker fftLines gather scratch, len n
@@ -68,10 +68,10 @@ type PencilPlan struct {
 }
 
 // NewPencilPlan creates a pencil FFT plan on a communicator of exactly
-// py·pz ranks for an n³ mesh (n a power of two).
+// py·pz ranks for an n³ mesh (n a power of two ≥ 2).
 func NewPencilPlan(c *mpi.Comm, n, py, pz int) (*PencilPlan, error) {
-	if n < 1 || n&(n-1) != 0 {
-		return nil, fmt.Errorf("pfft: mesh size %d is not a power of two", n)
+	if n < 2 || n&(n-1) != 0 {
+		return nil, fmt.Errorf("pfft: mesh size %d is not a power of two ≥ 2", n)
 	}
 	if py < 1 || pz < 1 || py*pz != c.Size() {
 		return nil, fmt.Errorf("pfft: pencil grid %d×%d does not match %d ranks", py, pz, c.Size())
@@ -95,13 +95,11 @@ func NewPencilPlan(c *mpi.Comm, n, py, pz int) (*PencilPlan, error) {
 	p.nxh = n/2 + 1
 	p.layXh = Layout{N: p.nxh, P: py}
 	p.xch = p.layXh.Count(p.a)
-	if n >= 2 {
-		rl, err := fft.NewRealPlan(n)
-		if err != nil {
-			return nil, err
-		}
-		p.rline = []*fft.RealPlan{rl}
+	rl, err := fft.NewRealPlan(n)
+	if err != nil {
+		return nil, err
 	}
+	p.rline = []*fft.RealPlan{rl}
 	p.taskLines = p.lineRange
 	p.sizeScratch(1)
 	p.sendRow = make([][]complex128, py)
@@ -122,10 +120,8 @@ func (p *PencilPlan) sizeScratch(workers int) {
 		p.wreal = append(p.wreal, make([]float64, p.n))
 		p.wspec = append(p.wspec, make([]complex128, p.nxh))
 	}
-	if p.rline != nil {
-		for len(p.rline) < workers {
-			p.rline = append(p.rline, p.rline[0].Clone())
-		}
+	for len(p.rline) < workers {
+		p.rline = append(p.rline, p.rline[0].Clone())
 	}
 }
 
@@ -247,13 +243,6 @@ func (p *PencilPlan) ForwardReal(in []float64) []complex128 {
 	if len(in) != p.InSize() {
 		panic(fmt.Sprintf("pfft: pencil real input %d, want %d", len(in), p.InSize()))
 	}
-	if p.rline == nil { // n == 1: the transform is the identity
-		out := make([]complex128, p.SpecSize())
-		for i := range out {
-			out[i] = complex(in[i], 0)
-		}
-		return out
-	}
 	// r2c along x: strided lines indexed by (iy, iz), stride yc·zc.
 	yczc := p.yc * p.zc
 	ha := make([]complex128, p.nxh*yczc)
@@ -288,12 +277,6 @@ func (p *PencilPlan) InverseReal(spec []complex128) []float64 {
 		panic(fmt.Sprintf("pfft: pencil real input %d, want %d", len(spec), p.SpecSize()))
 	}
 	out := make([]float64, p.InSize())
-	if p.rline == nil {
-		for i := range out {
-			out[i] = real(spec[i])
-		}
-		return out
-	}
 	cArr := append([]complex128(nil), spec...)
 	p.zLines(cArr, p.xch*p.yc2, true)
 	bArr := p.transposeCB(cArr, p.xch)

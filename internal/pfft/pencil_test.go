@@ -90,6 +90,9 @@ func TestPencilValidation(t *testing.T) {
 		if _, err := NewPencilPlan(c, 12, 2, 2); err == nil {
 			panic("non-power-of-two accepted")
 		}
+		if _, err := NewPencilPlan(c, 1, 2, 2); err == nil {
+			panic("n = 1 accepted")
+		}
 		if _, err := NewPencilPlan(c, 8, 3, 2); err == nil {
 			panic("grid mismatch accepted")
 		}

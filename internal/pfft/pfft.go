@@ -77,7 +77,7 @@ type Plan struct {
 	cnt, off int // this rank's slab
 
 	line  *fft.Plan       // length-n 1-D plan for the complex passes (scratch-free, shared)
-	rline []*fft.RealPlan // per-worker z-axis r2c/c2r plans; nil when n < 2
+	rline []*fft.RealPlan // per-worker z-axis r2c/c2r plans
 	ycnt  int
 	yoff  int
 
@@ -102,11 +102,11 @@ type Plan struct {
 	taskPackXY, taskUnpackXY, taskPackYX, taskUnpackYX func(w, lo, hi int)
 }
 
-// NewPlan creates a slab FFT plan for an n³ mesh (n a power of two) on the
-// given communicator.
+// NewPlan creates a slab FFT plan for an n³ mesh (n a power of two ≥ 2) on
+// the given communicator.
 func NewPlan(c *mpi.Comm, n int) (*Plan, error) {
-	if n < 1 || n&(n-1) != 0 {
-		return nil, fmt.Errorf("pfft: mesh size %d is not a power of two", n)
+	if n < 2 || n&(n-1) != 0 {
+		return nil, fmt.Errorf("pfft: mesh size %d is not a power of two ≥ 2", n)
 	}
 	lay := Layout{N: n, P: c.Size()}
 	p := &Plan{comm: c, n: n, nh: n/2 + 1, lay: lay}
@@ -119,13 +119,11 @@ func NewPlan(c *mpi.Comm, n int) (*Plan, error) {
 		return nil, err
 	}
 	p.line = pl
-	if n >= 2 {
-		rl, err := fft.NewRealPlan(n)
-		if err != nil {
-			return nil, err
-		}
-		p.rline = []*fft.RealPlan{rl}
+	rl, err := fft.NewRealPlan(n)
+	if err != nil {
+		return nil, err
 	}
+	p.rline = []*fft.RealPlan{rl}
 	p.send = make([][]complex128, c.Size())
 	p.taskZ = p.zLines
 	p.taskMid = p.midLines
@@ -150,10 +148,8 @@ func (p *Plan) sizeScratch(workers int) {
 	for len(p.wmid) < workers {
 		p.wmid = append(p.wmid, make([]complex128, p.n))
 	}
-	if p.rline != nil {
-		for len(p.rline) < workers {
-			p.rline = append(p.rline, p.rline[0].Clone())
-		}
+	for len(p.rline) < workers {
+		p.rline = append(p.rline, p.rline[0].Clone())
 	}
 }
 
@@ -286,12 +282,6 @@ func (p *Plan) ForwardReal(real []float64, spec []complex128) {
 			len(real), len(spec), p.LocalSize(), p.LocalSpecSize()))
 	}
 	nh := p.nh
-	if p.rline == nil { // n == 1: every pass is the identity
-		for i := range spec {
-			spec[i] = complex(real[i], 0)
-		}
-		return
-	}
 	p.treal, p.tspec = real, spec
 	p.pool.Run(p.cnt*p.n, p.taskFZ)
 	p.treal, p.tspec = nil, nil
@@ -310,12 +300,6 @@ func (p *Plan) InverseReal(spec []complex128, real []float64) {
 			len(spec), len(real), p.LocalSpecSize(), p.LocalSize()))
 	}
 	nh := p.nh
-	if p.rline == nil {
-		for i := range real {
-			real[i] = realPart(spec[i])
-		}
-		return
-	}
 	tr := p.transposeXY(spec, nh)
 	p.transformMid(tr, p.ycnt, nh, true)
 	p.transposeYX(tr, spec, nh)
@@ -324,8 +308,6 @@ func (p *Plan) InverseReal(spec []complex128, real []float64) {
 	p.pool.Run(p.cnt*p.n, p.taskIZ)
 	p.treal, p.tspec = nil, nil
 }
-
-func realPart(z complex128) float64 { return real(z) }
 
 func (p *Plan) check(local []complex128) {
 	if len(local) != p.LocalSize() {

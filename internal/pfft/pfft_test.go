@@ -125,6 +125,9 @@ func TestNewPlanRejectsBadMesh(t *testing.T) {
 		if _, err := NewPlan(c, 12); err == nil {
 			panic("accepted non-power-of-two")
 		}
+		if _, err := NewPlan(c, 1); err == nil {
+			panic("accepted n = 1")
+		}
 	})
 	if err != nil {
 		t.Fatal(err)

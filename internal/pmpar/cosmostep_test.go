@@ -42,13 +42,14 @@ func TestRealMatchesComplexCosmologicalStep(t *testing.T) {
 		r := geo.Find(vec.V3{X: x[i], Y: y[i], Z: z[i]})
 		owner[r] = append(owner[r], i)
 	}
-	run := func(cfg pmpar.Config) (ax, ay, az []float64) {
+	cfg := pmpar.Config{N: 16, L: 1, G: 1, Rcut: 3.0 / 16, NFFT: 4, Relay: true, Groups: 2}
+	run := func(newSolver func(*mpi.Comm, pmpar.Config, vec.V3, vec.V3) (*pmpar.Solver, error)) (ax, ay, az []float64) {
 		ax = make([]float64, np)
 		ay = make([]float64, np)
 		az = make([]float64, np)
 		err := mpi.Run(geo.NumDomains(), func(c *mpi.Comm) {
 			lo, hi := geo.Bounds(c.Rank())
-			s, err := pmpar.New(c, cfg, lo, hi)
+			s, err := newSolver(c, cfg, lo, hi)
 			if err != nil {
 				panic(err)
 			}
@@ -74,10 +75,8 @@ func TestRealMatchesComplexCosmologicalStep(t *testing.T) {
 		}
 		return
 	}
-	cfg := pmpar.Config{N: 16, L: 1, G: 1, Rcut: 3.0 / 16, NFFT: 4, Relay: true, Groups: 2}
-	rx, ry, rz := run(cfg)
-	cfg.ComplexFFT = true
-	cx, cy, cz := run(cfg)
+	rx, ry, rz := run(pmpar.New)
+	cx, cy, cz := run(pmpar.NewComplexReference)
 	var scale, worst float64
 	for i := range rx {
 		scale = math.Max(scale, math.Abs(cx[i])+math.Abs(cy[i])+math.Abs(cz[i]))

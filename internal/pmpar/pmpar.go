@@ -28,13 +28,6 @@ type Config struct {
 	// contiguous blocks; each group then samples the whole volume, which
 	// spreads the per-holder incast across groups (see perfmodel.ConvSpec).
 	Interleaved bool
-	// NoDeconvolve disables TSC window deconvolution (ablation).
-	NoDeconvolve bool
-	// ComplexFFT keeps the Poisson solve on the full complex-to-complex
-	// transform instead of the default real-to-complex half-spectrum path —
-	// the reference/ablation configuration with twice the FFT arithmetic and
-	// all-to-all transpose volume.
-	ComplexFFT bool
 	// Pencil replaces the 1-D slab FFT with the 2-D pencil decomposition of
 	// §IV (future work): the FFT runs on PY×PZ processes (NFFT = PY·PZ),
 	// lifting the NFFT ≤ N_PM slab limit to N_PM². The relay mesh method
@@ -113,13 +106,17 @@ type Solver struct {
 	plan    *pfft.Plan
 	pencil  *pfft.PencilPlan
 
-	// green is the cached Green's multiplier table (nil → direct KGreenW,
-	// e.g. N == 1); spec is the persistent half-spectrum slab of the r2c
-	// path, cwork the lazily allocated full complex slab of the reference
-	// path.
+	// green is the cached Green's multiplier table; box describes this FFT
+	// rank's portion of the half-spectrum; spec holds that portion during a
+	// solve (the persistent slab spectrum, or the pencil plan's output).
 	green *mesh.GreenTab
+	box   specBox
 	spec  []complex128
-	cwork []complex128
+
+	// poisson turns the density region into the potential region on an FFT
+	// rank: fftAndGreen in production. Tests swap in the complex-to-complex
+	// reference solve.
+	poisson func(*Solver)
 
 	// Cached exchange geometry and buffers: the block lists depend only on
 	// the domain decomposition, so both sides precompute them in New, and
@@ -142,7 +139,7 @@ type Solver struct {
 	poolBusy [nPoolPhases]*telemetry.Counter
 	poolIdle [nPoolPhases]*telemetry.Counter
 
-	taskConv, taskConvC func(w, lo, hi int)
+	taskConv func(w, lo, hi int)
 
 	// pending is the in-flight background solve between AccelStart and
 	// AccelWait; nil otherwise.
@@ -181,6 +178,12 @@ func groupOf(w, p, g int, interleaved bool) int {
 // over c.
 func New(c *mpi.Comm, cfg Config, lo, hi vec.V3) (*Solver, error) {
 	p := c.Size()
+	// Every check that can fail runs here, identically on every rank, before
+	// the first collective: an error returned by some ranks only would leave
+	// the others blocked in Split or Allgather.
+	if cfg.N < 2 || cfg.N&(cfg.N-1) != 0 {
+		return nil, fmt.Errorf("pmpar: mesh size %d is not a power of two ≥ 2", cfg.N)
+	}
 	if cfg.Pencil {
 		if cfg.PY < 1 || cfg.PZ < 1 || cfg.PY > cfg.N || cfg.PZ > cfg.N {
 			return nil, fmt.Errorf("pmpar: pencil grid %d×%d invalid for N=%d", cfg.PY, cfg.PZ, cfg.N)
@@ -269,10 +272,16 @@ func New(c *mpi.Comm, cfg Config, lo, hi vec.V3) (*Solver, error) {
 		}
 	}
 	s.sendF = make([][]float64, s.convComm.Size())
-	s.green = mesh.GreenTable(cfg.N, cfg.L, cfg.G, cfg.Rcut, !cfg.NoDeconvolve, 3)
-	if s.isFFT && !cfg.Pencil && !cfg.ComplexFFT {
+	s.green = mesh.GreenTable(cfg.N, cfg.L, cfg.G, cfg.Rcut, true, 3)
+	switch {
+	case s.pencil != nil:
+		xc, xo, yc, yo := s.pencil.SpecDims()
+		s.box = specBox{x0: xo, nx: xc, y0: yo, ny: yc, nz: cfg.N, halfX: true}
+	case s.plan != nil:
+		s.box = specBox{x0: s.plan.LocalOffset(), nx: s.plan.LocalCount(), ny: cfg.N, nz: s.plan.NZSpec()}
 		s.spec = make([]complex128, s.plan.LocalSpecSize())
 	}
+	s.poisson = (*Solver).fftAndGreen
 	// Intra-rank worker pool: injected (shared with tree and integrator
 	// loops) or owned. Every hot loop below — local mesh, slab/pencil FFT,
 	// convolution — batches over it with deterministic decompositions.
@@ -291,7 +300,6 @@ func New(c *mpi.Comm, cfg Config, lo, hi vec.V3) (*Solver, error) {
 		}
 	}
 	s.taskConv = s.convRows
-	s.taskConvC = s.convRowsComplex
 	for i, name := range [nPoolPhases]string{
 		telemetry.PhasePMDensity, telemetry.PhasePMFFT,
 		telemetry.PhasePMMeshForce, telemetry.PhasePMInterp,
@@ -321,15 +329,6 @@ func (s *Solver) notePool(phase int) {
 	}
 	s.poolBusy[phase].Add(busy.Seconds())
 	s.poolIdle[phase].Add(idle.Seconds())
-}
-
-// greenAt returns the Green's multiplier for a full-range mode, from the
-// cached table when one exists.
-func (s *Solver) greenAt(jx, jy, jz int) float64 {
-	if s.green != nil {
-		return s.green.AtFull(jx, jy, jz)
-	}
-	return mesh.KGreenW(jx, jy, jz, s.cfg.N, s.cfg.L, s.cfg.G, s.cfg.Rcut, !s.cfg.NoDeconvolve, 3)
 }
 
 // growF resizes buf to n elements, reusing its backing array when possible.
@@ -586,196 +585,89 @@ func (s *Solver) TakeTapSeconds() float64 {
 	return d
 }
 
-// visitSpec dispatches the armed tap over this rank's stored spectrum with
-// the layout-appropriate index mapping and Hermitian multiplicities.
-func (s *Solver) visitSpec(spec []complex128, pencil, halfZ bool) {
+// specBox is one FFT rank's portion of the Hermitian half-spectrum, stored
+// (x, y, z)-ordered: element (ix, iy, iz) at (ix·ny + iy)·nz + iz holds mode
+// (x0+ix, y0+iy, iz). z is always complete; one axis is compressed to modes
+// [0, n/2] — z for slabs (nz = n/2+1), x for pencils (halfX, nz = n), the
+// axis each plan transforms before any communication.
+type specBox struct {
+	x0, nx, y0, ny, nz int
+	halfX              bool
+}
+
+// visitSpec runs the armed tap over this rank's stored spectrum. A mode
+// whose compressed-axis index j lies strictly between 0 and n/2 also stands
+// for its conjugate, so it carries weight 2.
+func (s *Solver) visitSpec() {
 	t0 := time.Now()
-	n := s.cfg.N
-	v := s.specTap
-	if pencil {
-		var xc, xo, yc2, yo2 int
-		if halfZ {
-			// Real pencil path: x is the compressed axis (kx ∈ [0, n/2]).
-			xc, xo, yc2, yo2 = s.pencil.SpecDims()
-		} else {
-			xc, xo, yc2, yo2 = s.pencil.OutDims()
-		}
-		for ix := 0; ix < xc; ix++ {
-			jx := xo + ix
-			w := 1
-			if halfZ && jx != 0 && jx != n/2 {
-				w = 2
-			}
-			for iy := 0; iy < yc2; iy++ {
-				jy := yo2 + iy
-				base := (ix*yc2 + iy) * n
-				for jz := 0; jz < n; jz++ {
-					d := spec[base+jz]
-					v(jx, jy, jz, w, real(d), imag(d))
+	n, b, v, spec := s.cfg.N, s.box, s.specTap, s.spec
+	for ix := 0; ix < b.nx; ix++ {
+		jx := b.x0 + ix
+		for iy := 0; iy < b.ny; iy++ {
+			jy := b.y0 + iy
+			base := (ix*b.ny + iy) * b.nz
+			for jz := 0; jz < b.nz; jz++ {
+				j := jz
+				if b.halfX {
+					j = jx
 				}
-			}
-		}
-	} else {
-		nh := n
-		if halfZ {
-			nh = s.plan.NZSpec() // n/2 + 1: z is the compressed axis
-		}
-		off := s.plan.LocalOffset()
-		for lx := 0; lx < s.plan.LocalCount(); lx++ {
-			jx := off + lx
-			for jy := 0; jy < n; jy++ {
-				base := (lx*n + jy) * nh
-				for jz := 0; jz < nh; jz++ {
-					w := 1
-					if halfZ && jz != 0 && jz != n/2 {
-						w = 2
-					}
-					d := spec[base+jz]
-					v(jx, jy, jz, w, real(d), imag(d))
+				w := 1
+				if j != 0 && j != n/2 {
+					w = 2
 				}
+				d := spec[base+jz]
+				v(jx, jy, jz, w, real(d), imag(d))
 			}
 		}
 	}
 	s.tapSeconds += time.Since(t0).Seconds()
 }
 
-// fftAndGreen runs the parallel FFT and the Green's-function convolution on
-// the FFT processes, turning the density region into the potential region.
-//
-// The default path is real-to-complex: the slab density transforms into its
-// Hermitian half-spectrum (n/2+1 z modes), the real, even Green's multiplier
-// scales it in place on the persistent spec buffer — conjugate symmetry at
-// the jz = 0 and jz = n/2 planes survives because the multiplier is real —
-// and c2r brings the potential back. Both transposes inside the plan carry
-// roughly half the complex path's bytes.
+// fftAndGreen runs the parallel real-to-complex FFT and the Green's-function
+// convolution on the FFT processes, turning the density region into the
+// potential region. The real, even multiplier scales the half-spectrum in
+// place — conjugate symmetry on the compressed axis's 0 and n/2 planes
+// survives because the multiplier is real — and c2r brings the potential
+// back. The compressed axis is transformed before any transpose, so the
+// all-to-alls carry roughly half the values of a complex transform.
 func (s *Solver) fftAndGreen() {
-	if s.cfg.Pencil {
-		s.fftAndGreenPencil()
-		return
+	if s.pencil != nil {
+		s.spec = s.pencil.ForwardReal(s.slab)
+	} else {
+		s.plan.ForwardReal(s.slab, s.spec)
 	}
-	if s.cfg.ComplexFFT {
-		s.fftAndGreenComplex()
-		return
-	}
-	s.plan.ForwardReal(s.slab, s.spec)
 	if s.specTap != nil {
-		s.visitSpec(s.spec, false, true)
+		s.visitSpec()
 	}
-	s.pool.Run(s.plan.LocalCount(), s.taskConv)
-	s.plan.InverseReal(s.spec, s.slab)
+	s.pool.Run(s.box.nx, s.taskConv)
+	if s.pencil != nil {
+		copy(s.slab, s.pencil.InverseReal(s.spec))
+	} else {
+		s.plan.InverseReal(s.spec, s.slab)
+	}
 }
 
-// convRows multiplies half-spectrum planes lx ∈ [lo, hi) of this rank's slab
-// by the Green's multiplier; planes are disjoint, so the parallel
-// convolution is bit-identical to serial.
+// convRows multiplies x-planes ix ∈ [lo, hi) of the spectrum box by the
+// Green's multiplier; planes are disjoint, so the parallel convolution is
+// bit-identical to serial. The table stores the half-row jz ∈ [0, n/2]:
+// modes up to n/2 read it directly (all of a slab row), those beyond read
+// the mirror n−jz (G is even per axis).
 func (s *Solver) convRows(w, lo, hi int) {
-	n := s.cfg.N
-	nh := s.plan.NZSpec()
-	off := s.plan.LocalOffset()
-	for lx := lo; lx < hi; lx++ {
-		jx := off + lx
-		for jy := 0; jy < n; jy++ {
-			base := (lx*n + jy) * nh
-			if s.green != nil {
-				row := s.green.Row(jx, jy)
-				for jz := 0; jz < nh; jz++ {
-					s.spec[base+jz] *= complex(row[jz], 0)
-				}
-			} else {
-				for jz := 0; jz < nh; jz++ {
-					s.spec[base+jz] *= complex(s.greenAt(jx, jy, jz), 0)
-				}
+	n, b := s.cfg.N, s.box
+	direct := min(b.nz, n/2+1)
+	for ix := lo; ix < hi; ix++ {
+		jx := b.x0 + ix
+		for iy := 0; iy < b.ny; iy++ {
+			row := s.green.Row(jx, b.y0+iy)
+			sp := s.spec[(ix*b.ny+iy)*b.nz:][:b.nz]
+			for jz := 0; jz < direct; jz++ {
+				sp[jz] *= complex(row[jz], 0)
+			}
+			for jz := direct; jz < b.nz; jz++ {
+				sp[jz] *= complex(row[n-jz], 0)
 			}
 		}
 	}
-}
-
-// convRowsComplex is the full-spectrum counterpart for the complex path.
-func (s *Solver) convRowsComplex(w, lo, hi int) {
-	n := s.cfg.N
-	off := s.plan.LocalOffset()
-	for lx := lo; lx < hi; lx++ {
-		jx := off + lx
-		for jy := 0; jy < n; jy++ {
-			base := (lx*n + jy) * n
-			for jz := 0; jz < n; jz++ {
-				s.cwork[base+jz] *= complex(s.greenAt(jx, jy, jz), 0)
-			}
-		}
-	}
-}
-
-// fftAndGreenComplex is the full complex-to-complex reference path
-// (Config.ComplexFFT), kept for parity tests and before/after benchmarks.
-func (s *Solver) fftAndGreenComplex() {
-	if s.cwork == nil {
-		s.cwork = make([]complex128, len(s.slab))
-	}
-	work := s.cwork
-	for i, v := range s.slab {
-		work[i] = complex(v, 0)
-	}
-	s.plan.Forward(work)
-	if s.specTap != nil {
-		s.visitSpec(work, false, false)
-	}
-	s.pool.Run(s.plan.LocalCount(), s.taskConvC)
-	s.plan.Inverse(work)
-	for i := range s.slab {
-		s.slab[i] = real(work[i])
-	}
-}
-
-// fftAndGreenPencil is fftAndGreen with the 2-D pencil plan: forward to the
-// C layout, convolve there (where z is complete), and come back to A. On the
-// default real path the compressed axis is x (the one transformed before any
-// communication), so the convolution runs over kx ∈ [0, n/2] and full ky/kz.
-func (s *Solver) fftAndGreenPencil() {
-	n := s.cfg.N
-	if s.cfg.ComplexFFT {
-		in := make([]complex128, len(s.slab))
-		for i, v := range s.slab {
-			in[i] = complex(v, 0)
-		}
-		out := s.pencil.Forward(in)
-		if s.specTap != nil {
-			s.visitSpec(out, true, false)
-		}
-		xc, xo, yc2, yo2 := s.pencil.OutDims()
-		s.pool.Run(xc, func(w, lo, hi int) {
-			for ix := lo; ix < hi; ix++ {
-				for iy := 0; iy < yc2; iy++ {
-					base := (ix*yc2 + iy) * n
-					for jz := 0; jz < n; jz++ {
-						out[base+jz] *= complex(s.greenAt(xo+ix, yo2+iy, jz), 0)
-					}
-				}
-			}
-		})
-		back := s.pencil.Inverse(out)
-		for i := range s.slab {
-			s.slab[i] = real(back[i])
-		}
-		return
-	}
-	spec := s.pencil.ForwardReal(s.slab)
-	if s.specTap != nil {
-		s.visitSpec(spec, true, true)
-	}
-	xc, xo, yc2, yo2 := s.pencil.SpecDims()
-	s.pool.Run(xc, func(w, lo, hi int) {
-		for ix := lo; ix < hi; ix++ {
-			for iy := 0; iy < yc2; iy++ {
-				base := (ix*yc2 + iy) * n
-				for jz := 0; jz < n; jz++ {
-					// xo+ix ≤ n/2, a valid full-range index; greenAt folds jz.
-					spec[base+jz] *= complex(s.greenAt(xo+ix, yo2+iy, jz), 0)
-				}
-			}
-		}
-	})
-	back := s.pencil.InverseReal(spec)
-	copy(s.slab, back)
 }
 
 // assignDensity is stage 1 of the PM cycle: clear the local window and
@@ -812,7 +704,7 @@ func (s *Solver) solveStage() (comm, fft time.Duration) {
 	// FFT + Green's function on the FFT processes; others wait (paper step 3).
 	t0 = time.Now()
 	if s.isFFT {
-		s.fftAndGreen()
+		s.poisson(s)
 	}
 	fft = time.Since(t0)
 

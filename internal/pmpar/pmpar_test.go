@@ -36,13 +36,25 @@ func makeSystem(seed int64, n int, nx, ny, nz int) (x, y, z, m []float64, geo *d
 // into global arrays.
 func runParallelPM(t *testing.T, cfg Config, x, y, z, m []float64, geo *domain.Geometry, owner [][]int) (ax, ay, az []float64) {
 	t.Helper()
+	return runPMWith(t, New, cfg, x, y, z, m, geo, owner)
+}
+
+// runComplexPM is runParallelPM on the complex-to-complex reference solve.
+func runComplexPM(t *testing.T, cfg Config, x, y, z, m []float64, geo *domain.Geometry, owner [][]int) (ax, ay, az []float64) {
+	t.Helper()
+	return runPMWith(t, NewComplexReference, cfg, x, y, z, m, geo, owner)
+}
+
+func runPMWith(t *testing.T, newSolver func(*mpi.Comm, Config, vec.V3, vec.V3) (*Solver, error),
+	cfg Config, x, y, z, m []float64, geo *domain.Geometry, owner [][]int) (ax, ay, az []float64) {
+	t.Helper()
 	n := len(x)
 	ax = make([]float64, n)
 	ay = make([]float64, n)
 	az = make([]float64, n)
 	err := mpi.Run(geo.NumDomains(), func(c *mpi.Comm) {
 		lo, hi := geo.Bounds(c.Rank())
-		s, err := New(c, cfg, lo, hi)
+		s, err := newSolver(c, cfg, lo, hi)
 		if err != nil {
 			panic(err)
 		}
@@ -275,6 +287,14 @@ func TestNewValidation(t *testing.T) {
 		}
 		if _, err := New(c, Config{N: 16, L: 1, G: 1, Rcut: 0.2, NFFT: 4, Relay: true, Groups: 3}, lo, hi); err == nil {
 			panic("groups smaller than NFFT accepted")
+		}
+		// Only FFT ranks build a transform plan, so a mesh-size error found
+		// there alone would leave the other ranks blocked in a collective.
+		if _, err := New(c, Config{N: 12, L: 1, G: 1, Rcut: 0.2, NFFT: 1}, lo, hi); err == nil {
+			panic("non-power-of-two N accepted")
+		}
+		if _, err := New(c, Config{N: 1, L: 1, G: 1, Rcut: 0.2, NFFT: 1}, lo, hi); err == nil {
+			panic("N = 1 accepted")
 		}
 	})
 	if err != nil {

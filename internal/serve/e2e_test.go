@@ -305,6 +305,11 @@ func TestServeE2E(t *testing.T) {
 	if code, _ := d.get(t, "/runs/"+info.ID+"/products/tarot"); code != http.StatusBadRequest {
 		t.Fatalf("unknown product kind: status %d", code)
 	}
+	for _, nmesh := range []string{"1", "12"} {
+		if code, _ := d.get(t, "/runs/"+info.ID+"/products/pk?nmesh="+nmesh); code != http.StatusBadRequest {
+			t.Fatalf("pk nmesh=%s: status %d", nmesh, code)
+		}
+	}
 }
 
 // TestServeBatchingSingleStoreRead holds the store's Get open and fires

@@ -139,6 +139,45 @@ func TestManagerRejectsInvalidSpec(t *testing.T) {
 	}
 }
 
+// TestJobSpecValidateMeshShape: the PM mesh, explicit or defaulted to
+// 2·np rounded up to a power of two, must be a power of two that the IC
+// lattice tiles.
+func TestJobSpecValidateMeshShape(t *testing.T) {
+	for _, tc := range []struct {
+		np, nmesh int
+		ok        bool
+	}{
+		{np: 32, ok: true},            // the perfbench served job: nmesh 64
+		{np: 4, ok: true},             // nmesh 8
+		{np: 24, ok: false},           // nmesh 64 is not a multiple of 24
+		{np: 6, ok: false},            // nmesh 16
+		{np: 4, nmesh: 12, ok: false}, // not a power of two
+		{np: 4, nmesh: 96, ok: false}, // not a power of two
+		{np: 8, nmesh: 128, ok: true},
+		{np: 16, nmesh: 8, ok: false},  // lattice finer than the mesh
+		{np: 24, nmesh: 64, ok: false}, // explicit, same as the default
+	} {
+		spec := JobSpec{NP: tc.np, NMesh: tc.nmesh, Ranks: 2, Steps: 1}
+		if err := spec.Validate(); (err == nil) != tc.ok {
+			t.Errorf("np=%d nmesh=%d: Validate() = %v, want ok=%v", tc.np, tc.nmesh, err, tc.ok)
+		}
+	}
+}
+
+// TestProductRequestPkMesh: a pk mesh is 0 (the run's PM mesh) or a power
+// of two in [2, 512].
+func TestProductRequestPkMesh(t *testing.T) {
+	for nmesh, ok := range map[int]bool{
+		0: true, 2: true, 64: true, 512: true,
+		-1: false, 1: false, 3: false, 12: false, 1024: false,
+	} {
+		_, err := ProductRequest{Kind: ProductPk, NMesh: nmesh}.Key()
+		if (err == nil) != ok {
+			t.Errorf("pk nmesh=%d: Key() = %v, want ok=%v", nmesh, err, ok)
+		}
+	}
+}
+
 func TestManagerRunsJobsInOrder(t *testing.T) {
 	idx := NewMem()
 	var order []string

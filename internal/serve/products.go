@@ -38,7 +38,7 @@ type ProductRequest struct {
 	B       float64 // halos: linking length in mean-separation units; 0 ⇒ 0.2
 	MinSize int     // halos: smallest group reported; 0 ⇒ 8
 
-	NMesh int // pk: assignment mesh per side; 0 ⇒ the run's PM mesh
+	NMesh int // pk: assignment mesh per side, a power of two in [2, 512]; 0 ⇒ the run's PM mesh
 	NBins int // pk: k bins; 0 ⇒ 16
 
 	NPix int // density: image pixels per side; 0 ⇒ 64
@@ -62,7 +62,8 @@ func (r ProductRequest) Key() (string, error) {
 		}
 		return "halos-b" + canonFloat(r.B) + "-min" + strconv.Itoa(r.MinSize), nil
 	case ProductPk:
-		if r.NMesh < 0 || r.NMesh > 512 || r.NBins < 0 || r.NBins > 4096 {
+		badMesh := r.NMesh != 0 && (r.NMesh < 2 || r.NMesh > 512 || r.NMesh&(r.NMesh-1) != 0)
+		if badMesh || r.NBins < 0 || r.NBins > 4096 {
 			return "", fmt.Errorf("serve: pk parameters nmesh=%d nbins=%d out of range", r.NMesh, r.NBins)
 		}
 		return fmt.Sprintf("pk-n%d-b%d", r.NMesh, r.NBins), nil

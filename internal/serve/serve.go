@@ -81,6 +81,13 @@ func (s JobSpec) Validate() error {
 	if s.NMesh != 0 && (s.NMesh < 4 || s.NMesh > 512) {
 		return fmt.Errorf("serve: nmesh %d outside [4, 512]", s.NMesh)
 	}
+	// The PM solve needs a power-of-two mesh, and the IC lattice of np
+	// particles per side must tile it.
+	if nmesh := s.withDefaults().NMesh; nmesh&(nmesh-1) != 0 {
+		return fmt.Errorf("serve: nmesh %d is not a power of two", nmesh)
+	} else if nmesh%s.NP != 0 {
+		return fmt.Errorf("serve: np %d does not divide nmesh %d", s.NP, nmesh)
+	}
 	if s.ZStart != 0 && s.ZEnd != 0 && s.ZEnd >= s.ZStart {
 		return fmt.Errorf("serve: zend %g must be below zstart %g", s.ZEnd, s.ZStart)
 	}

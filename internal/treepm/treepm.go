@@ -37,8 +37,6 @@ type Config struct {
 	Float32Kernel bool
 	// SpectralPM switches PM differentiation to k-space (ablation).
 	SpectralPM bool
-	// NoDeconvolution disables TSC window deconvolution (ablation).
-	NoDeconvolution bool
 	// Workers threads the tree traversal+kernel AND every PM hot loop
 	// (assignment, FFT lines, convolution, differencing, interpolation) —
 	// the OpenMP-within-a-process half of the paper's hybrid parallelism.
@@ -94,9 +92,6 @@ func New(cfg Config) (*Solver, error) {
 	var opts []mesh.Option
 	if cfg.SpectralPM {
 		opts = append(opts, mesh.WithSpectralDifferentiation())
-	}
-	if cfg.NoDeconvolution {
-		opts = append(opts, mesh.WithoutDeconvolution())
 	}
 	if cfg.Workers != 0 {
 		opts = append(opts, mesh.WithWorkers(cfg.Workers))
